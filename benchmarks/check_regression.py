@@ -12,7 +12,6 @@ never fail the check.
     python benchmarks/check_regression.py --update       # rewrite the baseline
     python benchmarks/check_regression.py --plan-gate    # planner speedup gate
     python benchmarks/check_regression.py --bench-gate   # BENCH_* trend gate
-    python benchmarks/check_regression.py --serve-gate   # server p95 trend gate
     python benchmarks/check_regression.py --all          # every gate in one go
 
 Comparison uses each benchmark's *min* time, which is far less noisy
@@ -56,11 +55,10 @@ number may come from another machine).
 pytest experiment rows): each (experiment, benchmark, config) series
 regresses when its latest min-time exceeds the rolling median of the
 preceding window by the trend threshold *and* the absolute floor —
-see :mod:`repro.observability.trend`.  ``--serve-gate`` applies the
-same trend rule to just the ``exp == "serve"`` series — the committed
-``BENCH_serve.json`` p95 request latencies from
-``benchmarks/serve_load.py``.  ``--all`` chains every gate (timing
-baseline, plan, telemetry, reports, bench trend, serve trend) and
+see :mod:`repro.observability.trend`.  The series include the
+``exp == "serve"`` rows of ``BENCH_serve.json`` (the p95 request
+latencies from ``benchmarks/serve_load.py``).  ``--all`` chains every
+gate (timing baseline, plan, telemetry, reports, bench trend) and
 fails if any of them fails — the single entry point CI invokes.
 """
 
@@ -353,40 +351,6 @@ def check_bench_gate(root: pathlib.Path, threshold: float,
     return 0
 
 
-def check_serve_gate(root: pathlib.Path, threshold: float,
-                     min_time_ms: float, window: int,
-                     min_points: int) -> int:
-    """The server latency gate: the committed ``BENCH_serve.json``
-    history (p95 request latency per workload family under the
-    serve-load benchmark) run through the same rolling-median trend
-    rule as every other series, restricted to ``exp == "serve"``."""
-    from repro.observability.trend import (
-        TrendStore,
-        render_trend_text,
-        trend_report,
-    )
-
-    store = TrendStore.load(root)
-    store.series = {
-        key: series for key, series in store.series.items()
-        if series.exp == "serve"
-    }
-    report = trend_report(store, threshold=threshold,
-                          min_time_ms=min_time_ms, window=window,
-                          min_points=min_points)
-    print(render_trend_text(report), end="")
-    if not store.series:
-        print(f"note: no serve rows in the BENCH_*.json history under"
-              f" {root}; serve gate vacuously passes")
-        return 0
-    if report["regressions"]:
-        print(f"\n{len(report['regressions'])} serve-latency trend"
-              f" regression(s)", file=sys.stderr)
-        return 1
-    print("ok: serve p95 latencies within their trend windows")
-    return 0
-
-
 def check_benchmarks(args) -> int:
     """The timing gate: run (or load) the guarded benchmarks and
     compare min times against the committed baseline."""
@@ -486,10 +450,6 @@ def main(argv: list[str] | None = None) -> int:
                              " vs the committed baseline (default: 1.0"
                              " = 2x, generous for cross-machine"
                              " baselines)")
-    parser.add_argument("--serve-gate", action="store_true",
-                        help="run the server latency gate: the"
-                             " committed BENCH_serve.json p95 series"
-                             " vs their rolling-median history")
     parser.add_argument("--bench-gate", action="store_true",
                         help="run the trend gate: each BENCH_*.json"
                              " series' latest point vs its rolling-"
@@ -534,9 +494,6 @@ def main(argv: list[str] | None = None) -> int:
     def bench_gate() -> int:
         return check_bench_gate(*_trend_args())
 
-    def serve_gate() -> int:
-        return check_serve_gate(*_trend_args())
-
     if args.all:
         gates = (
             ("benchmarks", lambda: check_benchmarks(args)),
@@ -550,7 +507,6 @@ def main(argv: list[str] | None = None) -> int:
                 update=args.update_reports,
                 time_threshold=args.report_time_threshold)),
             ("bench-gate", bench_gate),
-            ("serve-gate", serve_gate),
         )
         outcomes: list[tuple[str, int]] = []
         for name, gate in gates:
@@ -583,9 +539,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.bench_gate:
         return bench_gate()
-
-    if args.serve_gate:
-        return serve_gate()
 
     return check_benchmarks(args)
 

@@ -16,24 +16,37 @@ surface::
     db.run_module(mod, Mode.RIDV)
     answers = db.query("?- person(name N).")
 
-Every mutation goes through module application semantics: inserts and
-deletes are sugar for RIDV modules built on the fly, so the paper's single
-update mechanism (Section 4.2) really is the only write path.
+Module application (Section 4.2) advances the state in exactly one
+place, :meth:`Database.run_module`; the server's write-ahead log, its
+recovery replay and :class:`repro.modules.evolution.Evolution` all apply
+modules through it.  :meth:`Database.insert` and :meth:`Database.delete`
+are not modules: they edit E directly, copying a new object up to its
+superclasses and cascading a deletion down to its subclasses, as isa
+requires.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from repro.constraints.checker import ConsistencyChecker, Violation
 from repro.core.coerce import to_value
-from repro.engine import EvalConfig, Semantics
+from repro.engine import Engine, EvalConfig, Semantics
 from repro.engine.goals import answer_goal
-from repro.errors import LogresError, SchemaError, ValueError_
+from repro.engine.trace import Tracer
+from repro.errors import (
+    AbsentFactError,
+    EvaluationError,
+    GoalError,
+    SchemaError,
+    ValueError_,
+)
 from repro.language.ast import Goal, Program, Rule
 from repro.language.parser import parse_program, parse_source
 from repro.modules.apply import ApplicationResult, apply_module
 from repro.modules.module import Mode, Module
 from repro.modules.state import DatabaseState, materialize
-from repro.storage.factset import FactSet
+from repro.storage.factset import Fact, FactSet
 from repro.storage.persist import (
     atomic_write_text,
     dumps_state,
@@ -64,7 +77,6 @@ class Database:
         self.semantics = semantics
         self.config = config or EvalConfig()
         self.oidgen = OidGenerator()
-        self._instance_cache: FactSet | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -73,6 +85,23 @@ class Database:
     def from_source(cls, text: str, **kwargs) -> "Database":
         """Parse a full LOGRES source unit (schema sections + rules)."""
         return cls(text, **kwargs)
+
+    @classmethod
+    def from_state(cls, state: DatabaseState, **kwargs) -> "Database":
+        """A database over ``state``; fresh oids start above E's."""
+        db = cls(state.schema, **kwargs)
+        db.state = state
+        db.oidgen.reserve_above(Oid(max(1, state.edb.max_oid_number())))
+        return db
+
+    @property
+    def state(self) -> DatabaseState:
+        return self._state
+
+    @state.setter
+    def state(self, state: DatabaseState) -> None:
+        self._state = state
+        self._instance_cache: FactSet | None = None
 
     @property
     def schema(self) -> Schema:
@@ -87,7 +116,7 @@ class Database:
         return self.state.edb
 
     # ------------------------------------------------------------------
-    # updates (all sugar over module application, Section 4.2)
+    # updates
     # ------------------------------------------------------------------
     def insert(self, pred: str, **attributes) -> Oid | None:
         """Insert one fact; returns the new oid for class predicates.
@@ -134,7 +163,8 @@ class Database:
 
     def delete(self, pred: str, oid: Oid | None = None, **attributes
                ) -> int:
-        """Delete matching extensional facts; returns how many."""
+        """Delete matching extensional facts; returns how many.  An
+        object is deleted from the subclasses too (isa re-derives it)."""
         pred = pred.lower()
         removed = 0
         if self.schema.is_class(pred):
@@ -145,8 +175,11 @@ class Database:
                     for k, v in attributes.items()
                 )
             ]
+            classes = [pred] + self.schema.subclasses(pred)
             for target in targets:
-                if self.state.edb.discard_oid(pred, target):
+                hits = [self.state.edb.discard_oid(c, target)
+                        for c in classes]
+                if any(hits):
                     removed += 1
         else:
             wanted = {k.lower(): to_value(v) for k, v in attributes.items()}
@@ -175,7 +208,6 @@ class Database:
 
         analyze_program(candidate.evaluation_program(), self.schema)
         self.state = candidate
-        self._instance_cache = None
 
     def run_module(
         self,
@@ -183,20 +215,33 @@ class Database:
         mode: Mode,
         semantics: Semantics | None = None,
         check_initial: bool = False,
+        config: EvalConfig | None = None,
+        commit: Callable[[ApplicationResult], None] | None = None,
     ) -> ApplicationResult:
         """Apply a module; on success the database advances to the new
-        state.  On rejection the state is unchanged."""
+        state.  On rejection the state is unchanged.
+
+        ``commit(result)``, when given, runs after a legal application
+        and before the state advances: it is the caller's commit point
+        (a WAL append, a replay check, a history entry).  If it raises,
+        the oid generator is rewound and the state is unchanged."""
+        oid_next = self.oidgen.next_number
         result = apply_module(
             self.state,
             module,
             mode,
             semantics=semantics or self.semantics,
-            config=self.config,
+            config=config or self.config,
             oidgen=self.oidgen,
             check_initial=check_initial,
         )
+        if commit is not None:
+            try:
+                commit(result)
+            except BaseException:
+                self.oidgen.restore(oid_next)
+                raise
         self.state = result.state
-        self._instance_cache = None
         return result
 
     # ------------------------------------------------------------------
@@ -231,7 +276,7 @@ class Database:
                 text = "goal\n" + text
             parsed = parse_source(text).goal
             if parsed is None:
-                raise LogresError(f"no goal found in {goal!r}")
+                raise GoalError(f"no goal found in {goal!r}")
             goal = parsed
         return answer_goal(goal, self.instance(semantics), self.schema)
 
@@ -269,23 +314,20 @@ class Database:
         self.run_module(module, Mode.RIDV)
         return self.state.edb.count() - before
 
-    def explain(self, pred: str, oid: Oid | None = None, **attributes):
+    def explain(self, pred: str | Fact, oid: Oid | None = None,
+                **attributes):
         """The derivation tree of one instance fact (debugging aid).
 
-        For associations, identify the fact by its attributes; for
-        classes, by ``oid``.  Returns a
+        ``pred`` may be a whole :class:`Fact`, explained as given.
+        Otherwise identify an association fact by its attributes and a
+        class fact by ``oid``.  Returns a
         :class:`repro.engine.trace.DerivationNode`; extensional facts
-        yield a single leaf.
+        yield a single leaf.  A fact that does not hold raises
+        :class:`~repro.errors.AbsentFactError`.
         """
-        from repro.engine.trace import Tracer
-        from repro.errors import EvaluationError
-        from repro.language.analysis import schema_with_functions
-        from repro.storage.factset import Fact
-
-        pred = pred.lower()
+        if isinstance(pred, str):
+            pred = pred.lower()
         tracer = Tracer()
-        from repro.engine import Engine
-
         engine = Engine(
             self.schema,
             self.state.evaluation_program(),
@@ -294,14 +336,16 @@ class Database:
         )
         instance = engine.run(self.state.edb, self.semantics,
                               tracer=tracer)
-        if self.schema.is_class(pred):
+        if isinstance(pred, Fact):
+            fact = pred
+        elif self.schema.is_class(pred):
             if oid is None:
                 raise EvaluationError(
                     "explaining a class fact requires its oid"
                 )
             stored = instance.value_of(pred, oid)
             if stored is None:
-                raise EvaluationError(
+                raise AbsentFactError(
                     f"no object {oid!r} in class {pred!r}"
                 )
             fact = Fact(pred, stored, oid)
@@ -309,13 +353,11 @@ class Database:
             wanted = {k.lower(): to_value(v)
                       for k, v in attributes.items()}
             fact = Fact(pred, TupleValue(wanted))
-            if fact not in instance:
-                raise EvaluationError(
-                    f"fact {fact!r} does not hold in the instance"
-                )
-        return tracer.explain(
-            fact, instance, schema_with_functions(self.schema)
-        )
+        if fact not in instance:
+            raise AbsentFactError(
+                f"fact {fact!r} does not hold in the instance"
+            )
+        return tracer.explain(fact, instance, engine.schema)
 
     # ------------------------------------------------------------------
     # consistency and persistence
@@ -332,10 +374,9 @@ class Database:
     @classmethod
     def loads(cls, text: str, **kwargs) -> "Database":
         schema, edb, program = loads_state(text)
-        db = cls(schema, rules=program.rules, **kwargs)
-        db.state = DatabaseState(schema, edb, program.rules)
-        db.oidgen.reserve_above(Oid(max(1, edb.max_oid_number())))
-        return db
+        return cls.from_state(
+            DatabaseState(schema, edb, program.rules), **kwargs
+        )
 
     def save(self, path) -> None:
         """Persist atomically: a crash mid-save leaves any previous

@@ -96,6 +96,15 @@ class EvaluationError(LogresError):
     """Runtime failure while computing the fixpoint semantics."""
 
 
+class AbsentFactError(EvaluationError):
+    """The fact to explain does not hold in the instance."""
+
+
+class GoalError(LogresError, ValueError):
+    """Goal text that holds no goal.  Also a :class:`ValueError`: to a
+    server it is a malformed request (400), not a failed program."""
+
+
 class NonTerminationError(EvaluationError):
     """The inflationary sequence exceeded its iteration or oid-invention
     budget (termination is undecidable; Appendix B).

@@ -10,14 +10,13 @@ because states are immutable values here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.engine import EvalConfig, Semantics
 from repro.errors import ModuleApplicationError
-from repro.modules.apply import ApplicationResult, apply_module
+from repro.modules.apply import ApplicationResult
 from repro.modules.module import Mode, Module
 from repro.modules.state import DatabaseState
-from repro.values.oids import OidGenerator
 
 
 @dataclass(frozen=True)
@@ -40,22 +39,26 @@ class EvolutionStep:
         )
 
 
-@dataclass
 class Evolution:
-    """An evolving database: the current state plus its full history."""
+    """An evolving database: a :class:`~repro.core.database.Database`
+    plus its full history.  Each step is one
+    :meth:`~repro.core.database.Database.run_module`, whose commit step
+    appends the new state and its log entry."""
 
-    state: DatabaseState
-    semantics: Semantics = Semantics.INFLATIONARY
-    config: EvalConfig | None = None
-    oidgen: OidGenerator = field(default_factory=OidGenerator)
-    _states: list[DatabaseState] = field(default_factory=list)
-    _log: list[EvolutionStep] = field(default_factory=list)
+    def __init__(self, state: DatabaseState,
+                 semantics: Semantics = Semantics.INFLATIONARY,
+                 config: EvalConfig | None = None):
+        from repro.core.database import Database  # core imports modules
 
-    def __post_init__(self) -> None:
-        if not self._states:
-            self._states.append(self.state)
+        self.db = Database.from_state(state, semantics=semantics,
+                                      config=config)
+        self._states: list[DatabaseState] = [state]
+        self._log: list[EvolutionStep] = []
 
-    # ------------------------------------------------------------------
+    @property
+    def state(self) -> DatabaseState:
+        return self.db.state
+
     @property
     def log(self) -> list[EvolutionStep]:
         return list(self._log)
@@ -77,47 +80,39 @@ class Evolution:
     def apply(self, module: Module, mode: Mode) -> ApplicationResult:
         """Apply one module; commits on success, state untouched on
         rejection."""
-        result = apply_module(
-            self.state, module, mode,
-            semantics=self.semantics, config=self.config,
-            oidgen=self.oidgen,
-        )
         before = self.state.edb.count()
-        self.state = result.state
-        self._states.append(result.state)
-        self._log.append(EvolutionStep(
-            index=len(self._log),
-            module_name=module.name or "<anonymous>",
-            mode=mode,
-            facts_before=before,
-            facts_after=result.state.edb.count(),
-            rules_after=len(result.state.rules),
-        ))
-        return result
+
+        def record(result: ApplicationResult) -> None:
+            self._states.append(result.state)
+            self._log.append(EvolutionStep(
+                index=len(self._log),
+                module_name=module.name or "<anonymous>",
+                mode=mode,
+                facts_before=before,
+                facts_after=result.state.edb.count(),
+                rules_after=len(result.state.rules),
+            ))
+
+        return self.db.run_module(module, mode, check_initial=True,
+                                  commit=record)
 
     def apply_all(
         self, steps: list[tuple[Module, Mode]]
     ) -> list[ApplicationResult]:
         """Apply a sequence atomically: if any step is rejected, the
         evolution is left exactly as before the call."""
-        checkpoint_state = self.state
-        checkpoint_len = len(self._log)
-        results = []
+        checkpoint = self.version
         try:
-            for module, mode in steps:
-                results.append(self.apply(module, mode))
+            return [self.apply(module, mode) for module, mode in steps]
         except ModuleApplicationError:
-            self.state = checkpoint_state
-            del self._states[checkpoint_len + 1:]
-            del self._log[checkpoint_len:]
+            self.rollback(checkpoint)
             raise
-        return results
 
     def rollback(self, version: int) -> DatabaseState:
         """Return to the state after ``version`` steps, discarding the
         later part of the history."""
         target = self.state_at(version)
-        self.state = target
+        self.db.state = target
         del self._states[version + 1:]
         del self._log[version:]
         return target

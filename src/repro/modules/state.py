@@ -15,14 +15,6 @@ from repro.constraints.generate import isa_propagation_rules
 from repro.engine import Engine, EvalConfig, Semantics
 from repro.language.ast import Program, Rule
 from repro.storage.factset import FactSet
-from repro.storage.persist import (
-    decode_factset,
-    decode_program,
-    decode_schema,
-    encode_factset,
-    encode_program,
-    encode_schema,
-)
 from repro.types.schema import Schema
 from repro.values.oids import OidGenerator
 
@@ -55,22 +47,6 @@ class DatabaseState:
 
     def copy(self) -> "DatabaseState":
         return replace(self, edb=self.edb.copy(), rules=tuple(self.rules))
-
-    # -- persistence -----------------------------------------------------
-    def to_payload(self) -> dict:
-        return {
-            "schema": encode_schema(self.schema),
-            "edb": encode_factset(self.edb),
-            "program": encode_program(Program(self.rules)),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "DatabaseState":
-        return cls(
-            schema=decode_schema(payload["schema"]),
-            edb=decode_factset(payload["edb"]),
-            rules=decode_program(payload["program"]).rules,
-        )
 
     def __repr__(self) -> str:
         return (

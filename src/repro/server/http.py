@@ -44,11 +44,10 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.constraints.checker import ConsistencyChecker
 from repro.engine import Engine, EvalConfig, Semantics
-from repro.engine.goals import answer_goal
 from repro.engine.guards import BUDGET_CODES
 from repro.errors import (
+    AbsentFactError,
     EvalBudgetExceeded,
     LogresError,
     ModuleApplicationError,
@@ -58,7 +57,6 @@ from repro.errors import (
 )
 from repro.language.parser import parse_source
 from repro.modules.module import Mode
-from repro.modules.state import materialize
 from repro.observability import (
     EventBus,
     ServerRequest,
@@ -71,7 +69,6 @@ from repro.server.admission import AdmissionController, Overloaded
 from repro.server.config import ServerConfig
 from repro.server.registry import DatabaseRegistry
 from repro.testing.faults import FAULTS
-from repro.values.oids import OidGenerator
 
 #: write operations a draining server refuses; reads already in flight
 #: finish, new work of any kind gets 503 + LG808
@@ -345,6 +342,7 @@ class _Handler(BaseHTTPRequestHandler):
                     "LG808", "server is draining, retry elsewhere/later",
                 ), retry_after=app.config.retry_after, run_id=run_id)
                 return
+            payload = None
             try:
                 with app.admission.admit():
                     status, payload = self._dispatch(
@@ -387,13 +385,19 @@ class _Handler(BaseHTTPRequestHandler):
             except (BrokenPipeError, ConnectionResetError):
                 raise
             except Exception as exc:  # noqa: BLE001 — the 500 boundary
-                # anything unexpected (an injected WAL I/O fault, a bug)
-                # becomes a diagnosable 500, never a hung connection;
-                # the write it interrupted was not committed (the WAL
-                # append is the commit point)
-                status = self._reply(500, error_body(
-                    "LG901", f"internal error: {exc}",
-                ), run_id=run_id)
+                # anything unexpected (an injected I/O fault, a bug)
+                # becomes a diagnosable 500, never a hung connection.
+                # An apply commits at its WAL append, so a failure after
+                # the apply returned (say, while replying) leaves the
+                # write durable: the body tells the client which it was
+                error = error_body("LG901", f"internal error: {exc}")
+                if op == "apply":
+                    committed = (payload is not None
+                                 and payload["mode"] != Mode.RIDI.value)
+                    error["committed"] = committed
+                    if committed:
+                        error["applied_seq"] = payload["applied_seq"]
+                status = self._reply(500, error, run_id=run_id)
         except (BrokenPipeError, ConnectionResetError, OSError):
             # the client went away mid-response: drop it, count it,
             # never let it unwind into the server
@@ -458,14 +462,12 @@ class _Handler(BaseHTTPRequestHandler):
             return 200, payload
 
         # the read family evaluates an isolated snapshot outside any lock
-        state = managed.read_snapshot()
+        extra = ()
+        if op == "run" and isinstance(body.get("rules"), str):
+            extra = tuple(parse_source(body["rules"]).rules)
+        db = managed.read_snapshot(semantics, config, extra)
         if op == "run":
-            extra = ()
-            if isinstance(body.get("rules"), str):
-                extra = tuple(parse_source(body["rules"]).rules)
-            instance = materialize(
-                state, semantics, config, OidGenerator(), extra
-            )
+            instance = db.instance()
             payload = {
                 "facts": instance.count(),
                 "predicates": {
@@ -476,14 +478,10 @@ class _Handler(BaseHTTPRequestHandler):
             }
             goal_text = body.get("goal")
             if isinstance(goal_text, str):
-                payload["answers"] = _render_answers(
-                    _answer(goal_text, instance, state)
-                )
+                payload["answers"] = _render_answers(db.query(goal_text))
             return 200, payload
         if op == "check":
-            instance = materialize(state, semantics, config, OidGenerator())
-            checker = ConsistencyChecker(state.schema, state.denials())
-            violations = checker.check(instance)
+            violations = db.check()
             if violations:
                 return 409, {
                     "consistent": False,
@@ -493,25 +491,21 @@ class _Handler(BaseHTTPRequestHandler):
                          "violations_checked": True}
         if op == "explain":
             from repro.cli import _parse_fact
-            from repro.engine.trace import Tracer
 
             fact_text = body.get("fact")
             if not isinstance(fact_text, str):
                 raise ValueError('explain needs a "fact" string')
             fact = _parse_fact(fact_text)
-            tracer = Tracer()
-            engine = Engine(state.schema, state.evaluation_program(),
-                            config=config, oidgen=OidGenerator())
-            instance = engine.run(state.edb, semantics, tracer=tracer)
-            if fact not in instance:
+            try:
+                tree = db.explain(fact)
+            except AbsentFactError:
                 return 409, {"holds": False, "fact": fact_text}
-            tree = tracer.explain(fact, instance, engine.schema)
             return 200, {"holds": True, "fact": fact_text,
                          "explanation": tree.render()}
         if op == "plan":
-            engine = Engine(state.schema, state.evaluation_program(),
+            engine = Engine(db.schema, db.state.evaluation_program(),
                             config)
-            plans = engine.explain_plan(state.edb, semantics)
+            plans = engine.explain_plan(db.edb, semantics)
             return 200, {"plans": [p.to_dict() for p in plans]}
         raise ValueError(f"unknown operation {op!r}")
 
@@ -567,16 +561,6 @@ class _Handler(BaseHTTPRequestHandler):
 #: pre-admission phase
 _BODY_TOO_LARGE = object()
 _BODY_BAD_JSON = object()
-
-
-def _answer(goal_text: str, instance, state):
-    text = goal_text.strip()
-    if not text.startswith("goal"):
-        text = "goal\n" + text
-    goal = parse_source(text).goal
-    if goal is None:
-        raise ValueError(f"no goal found in {goal_text!r}")
-    return answer_goal(goal, instance, state.schema)
 
 
 def _render_answers(answers) -> list[dict]:

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from repro.core.database import Database
 from repro.modules.state import DatabaseState
 from repro.server.registry import ManagedDatabase
-from repro.values.oids import Oid
 from repro.workloads.families import FAMILIES, resolve_scale
 
 #: per-family write template: one new extensional fact per apply,
@@ -54,13 +53,11 @@ def seed_database(data_dir: str, name: str, family: str,
     EDB, snapshotted in the server's on-disk format."""
     fam = FAMILIES[family]
     schema, program, edb = fam.build(resolve_scale(scale), seed)
-    db = Database(schema, rules=program.rules)
-    db.state = DatabaseState(schema, edb, program.rules)
-    db.oidgen.reserve_above(Oid(max(1, edb.max_oid_number())))
     managed = ManagedDatabase(name, data_dir)
-    managed.db = db
-    managed._write_snapshot()
-    managed.wal.close()
+    managed.create(Database.from_state(
+        DatabaseState(schema, edb, program.rules)
+    ))
+    managed.close()
     return managed
 
 

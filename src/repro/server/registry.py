@@ -32,7 +32,8 @@ import threading
 from repro.core.database import Database
 from repro.engine import EvalConfig, Semantics
 from repro.errors import LogresError, StorageError
-from repro.modules.apply import ApplicationResult, apply_module
+from repro.language.ast import Rule
+from repro.modules.apply import ApplicationResult
 from repro.modules.module import Mode, Module
 from repro.modules.state import DatabaseState
 from repro.modules.txn import state_fingerprints
@@ -118,12 +119,10 @@ class ManagedDatabase:
     """One named database: Database + RWLock + WAL + snapshots."""
 
     def __init__(self, name: str, directory: str,
-                 snapshot_interval: int = 16,
-                 semantics: Semantics = Semantics.INFLATIONARY):
+                 snapshot_interval: int = 16):
         self.name = validate_name(name)
         self.directory = os.fspath(directory)
         self.snapshot_interval = max(1, snapshot_interval)
-        self.semantics = semantics
         self.lock = RWLock()
         self.db: Database | None = None
         self.wal = WriteAheadLog(self.wal_path)
@@ -153,14 +152,16 @@ class ManagedDatabase:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def create(self, source: str) -> None:
-        """Create from LOGRES source (schema + rules + optional facts)
-        and write the initial snapshot."""
+    def create(self, source: str | Database) -> None:
+        """Create from LOGRES source (schema + rules + optional facts),
+        or from an already built :class:`Database`, and write the
+        initial snapshot."""
         if self.exists:
             raise StorageError(
                 f"database {self.name!r} already exists"
             )
-        self.db = Database.from_source(source)
+        self.db = (Database.from_source(source)
+                   if isinstance(source, str) else source)
         self._write_snapshot()
 
     def open(self) -> None:
@@ -199,15 +200,22 @@ class ManagedDatabase:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    def read_snapshot(self) -> DatabaseState:
-        """An isolated state snapshot for one read request: the schema
-        and rule tuple are immutable (shared), the EDB is copied with
-        its indexes.  Taken under the read lock; evaluated outside it."""
+    def read_snapshot(self, semantics: Semantics = Semantics.INFLATIONARY,
+                      config: EvalConfig | None = None,
+                      extra_rules: tuple[Rule, ...] = ()) -> Database:
+        """An isolated snapshot for one read request: a
+        :class:`Database` whose schema and rule tuple are immutable
+        (shared) and whose EDB is copied with its indexes.
+        ``extra_rules`` join R in this snapshot only, as in RIDI.
+        Taken under the read lock; evaluated outside it."""
         with self.lock.read():
             state = self.db.state
-            return DatabaseState(
-                state.schema, state.edb.copy(), tuple(state.rules)
-            )
+            edb = state.edb.copy()
+        return Database.from_state(
+            DatabaseState(state.schema, edb,
+                          state.rules + tuple(extra_rules)),
+            semantics=semantics, config=config,
+        )
 
     def fingerprints(self) -> dict[str, str]:
         with self.lock.read():
@@ -230,50 +238,42 @@ class ManagedDatabase:
     # writes
     # ------------------------------------------------------------------
     def apply(self, module_source: str, mode: Mode,
-              semantics: Semantics | None = None,
+              semantics: Semantics = Semantics.INFLATIONARY,
               config: EvalConfig | None = None,
               module_name: str = "") -> tuple[ApplicationResult, int]:
         """One transactional, durable write.  Returns the application
         result and the committed WAL sequence number.
 
-        Commit protocol: execute under the Savepoint (any failure rolls
-        the in-memory state back, fingerprint-verified), then append to
-        the WAL (the commit point — on append failure the in-memory
-        advance is abandoned and the oid generator restored), then
-        advance the in-memory state and maybe snapshot."""
-        sem = semantics or self.semantics
+        Commit protocol: :meth:`Database.run_module` executes under the
+        Savepoint (any failure rolls the state back, fingerprint-
+        verified), then appends to the WAL (the commit point — on
+        append failure the new state is abandoned and the oid generator
+        restored), then advances the state; a snapshot may follow."""
         module = Module.from_source(module_source, name=module_name)
         with self.lock.write():
             oid_next_before = self.db.oidgen.next_number
-            result = apply_module(
-                self.db.state, module, mode,
-                semantics=sem, config=config,
-                oidgen=self.db.oidgen, check_initial=False,
+
+            def append_to_wal(result: ApplicationResult) -> None:
+                self.wal.append(make_record(
+                    self.applied_seq + 1, "apply",
+                    module=module_source,
+                    module_name=module_name,
+                    mode=mode.value,
+                    semantics=semantics.value,
+                    oid_next=oid_next_before,
+                    post=state_fingerprints(result.state),
+                ))
+                self.applied_seq += 1
+
+            # RIDI is rule- and data-invariant: a pure query, no state
+            # change, nothing to log
+            ridi = mode is Mode.RIDI
+            result = self.db.run_module(
+                module, mode, semantics=semantics, config=config,
+                commit=None if ridi else append_to_wal,
             )
-            if mode is Mode.RIDI:
-                # rule- and data-invariant: a pure query, no state
-                # change, nothing to log
+            if ridi:
                 return result, self.applied_seq
-            record = make_record(
-                self.applied_seq + 1, "apply",
-                module=module_source,
-                module_name=module_name,
-                mode=mode.value,
-                semantics=sem.value,
-                oid_next=oid_next_before,
-                post=state_fingerprints(result.state),
-            )
-            try:
-                self.wal.append(record)
-            except BaseException:
-                # the write never committed: abandon the new state and
-                # rewind the oids it consumed (nothing else references
-                # them — the old state is still current)
-                self.db.oidgen.restore(oid_next_before)
-                raise
-            self.applied_seq += 1
-            self.db.state = result.state
-            self.db._instance_cache = None
             self._writes_since_snapshot += 1
             if self._writes_since_snapshot >= self.snapshot_interval:
                 try:
@@ -298,29 +298,30 @@ class ManagedDatabase:
             record["module"], name=record.get("module_name", "")
         )
         self.db.oidgen.restore(max(1, int(record["oid_next"])))
+
+        def verify(result: ApplicationResult) -> None:
+            post = state_fingerprints(result.state)
+            recorded = record.get("post") or {}
+            if post != recorded:
+                drifted = sorted(k for k in post if post[k] != recorded.get(k))
+                raise StorageError(
+                    f"write-ahead log {self.wal_path}: record"
+                    f" {record['seq']} replay diverged on"
+                    f" {', '.join(drifted)} (fingerprint mismatch)"
+                )
+
         try:
-            result = apply_module(
-                self.db.state, module, Mode(record["mode"]),
-                semantics=Semantics(record["semantics"]),
-                oidgen=self.db.oidgen, check_initial=False,
+            self.db.run_module(
+                module, Mode(record["mode"]),
+                semantics=Semantics(record["semantics"]), commit=verify,
             )
+        except StorageError:
+            raise
         except LogresError as exc:
             raise StorageError(
                 f"write-ahead log {self.wal_path}: replaying committed"
                 f" record {record['seq']} failed: {exc}"
             ) from exc
-        post = state_fingerprints(result.state)
-        if post != record.get("post"):
-            drifted = sorted(
-                k for k in post if post[k] != (record.get("post") or {}).get(k)
-            )
-            raise StorageError(
-                f"write-ahead log {self.wal_path}: record"
-                f" {record['seq']} replay diverged on"
-                f" {', '.join(drifted)} (fingerprint mismatch)"
-            )
-        self.db.state = result.state
-        self.db._instance_cache = None
         self.applied_seq = int(record["seq"])
 
     def _write_snapshot(self) -> None:
@@ -356,11 +357,9 @@ def _read_state_file(path: str) -> str:
 class DatabaseRegistry:
     """Every named database under one data directory."""
 
-    def __init__(self, data_dir: str, snapshot_interval: int = 16,
-                 semantics: Semantics = Semantics.INFLATIONARY):
+    def __init__(self, data_dir: str, snapshot_interval: int = 16):
         self.data_dir = os.fspath(data_dir)
         self.snapshot_interval = snapshot_interval
-        self.semantics = semantics
         self._lock = threading.Lock()
         self._databases: dict[str, ManagedDatabase] = {}
 
@@ -386,7 +385,6 @@ class DatabaseRegistry:
             managed = ManagedDatabase(
                 name, self.data_dir,
                 snapshot_interval=self.snapshot_interval,
-                semantics=self.semantics,
             )
             if not managed.exists:
                 raise KeyError(name)
@@ -402,17 +400,14 @@ class DatabaseRegistry:
         validate_name(name)
         os.makedirs(self.data_dir, exist_ok=True)
         with self._lock:
-            if name in self._databases or os.path.exists(
-                os.path.join(self.data_dir, name + SNAPSHOT_SUFFIX)
-            ):
-                raise StorageError(
-                    f"database {name!r} already exists"
-                )
             managed = ManagedDatabase(
                 name, self.data_dir,
                 snapshot_interval=self.snapshot_interval,
-                semantics=self.semantics,
             )
+            if name in self._databases or managed.exists:
+                raise StorageError(
+                    f"database {name!r} already exists"
+                )
             self._databases[name] = managed
         try:
             with managed.lock.write():

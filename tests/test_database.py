@@ -105,6 +105,14 @@ class TestDeletes:
         db.insert("person", name="ugo", address="r")
         assert db.delete("person", name="ugo") == 1
 
+    def test_delete_through_superclass_cascades_to_subclasses(self, db):
+        """isa would re-derive the person from the student fact, so
+        deleting the person must delete the student too."""
+        s = db.insert("student", name="ada", address="m", school="x")
+        assert db.delete("person", oid=s) == 1
+        assert s not in db.objects("person")
+        assert s not in db.objects("student")
+
 
 class TestQueriesAndRules:
     def test_query_uses_persistent_rules(self, db):
@@ -163,6 +171,34 @@ class TestModulesThroughFacade:
         with pytest.raises(ModuleApplicationError):
             tdb.run_module(mod, Mode.RIDV)
         assert p in tdb.objects("person")
+
+    def test_commit_step_runs_before_the_state_advances(self, db):
+        mod = Module.from_source(
+            'rules\n  parent(par "abel", chil "enos").', name="m"
+        )
+        before = db.state
+        seen = []
+        result = db.run_module(
+            mod, Mode.RIDV, commit=lambda r: seen.append(db.state)
+        )
+        assert seen == [before]
+        assert db.state is result.state
+
+    def test_failed_commit_step_leaves_state_and_oids(self, db):
+        mod = Module.from_source(
+            'rules\n  person(name "ugo", address "r").', name="m"
+        )
+        dumped, oid_next = db.dumps(), db.oidgen.next_number
+
+        def refuse(result):
+            assert result.state.edb.count("person") == 1
+            raise RuntimeError("commit refused")
+
+        with pytest.raises(RuntimeError, match="refused"):
+            db.run_module(mod, Mode.RIDV, commit=refuse)
+        assert db.dumps() == dumped
+        assert db.oidgen.next_number == oid_next
+        assert db.objects("person") == {}
 
 
 class TestPersistence:

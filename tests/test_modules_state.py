@@ -1,6 +1,7 @@
-"""Tests for DatabaseState payloads and evaluation-program assembly."""
+"""Tests for DatabaseState persistence and evaluation-program assembly."""
 
 from repro import (
+    Database,
     DatabaseState,
     FactSet,
     Module,
@@ -30,9 +31,9 @@ def make_state():
 
 
 class TestPayloadRoundTrip:
-    def test_to_from_payload(self):
+    def test_dumps_loads_round_trip(self):
         state = make_state()
-        restored = DatabaseState.from_payload(state.to_payload())
+        restored = Database.loads(Database.from_state(state).dumps()).state
         assert restored.edb == state.edb
         assert restored.rules == state.rules
         assert restored.schema.equations == state.schema.equations

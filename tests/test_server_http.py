@@ -162,6 +162,23 @@ class TestOperations:
         codes = [d["code"] for d in payload["diagnostics"]]
         assert codes and all(c.startswith("LG") for c in codes)
 
+    def test_run_goal_text_without_a_goal_is_400(self, server):
+        _, base = server
+        status, payload, _ = post_json(
+            base, "/v1/db/demo/run",
+            {"goal": 'rules\n  parent(par "x", chil "y").'},
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "LG101"
+
+    def test_run_goal_syntax_error_is_422(self, server):
+        _, base = server
+        status, payload, _ = post_json(
+            base, "/v1/db/demo/run", {"goal": '?- anc(a "p0", d'},
+        )
+        assert status == 422
+        assert payload["error"]["code"] == "LG101"
+
     def test_check_consistent(self, server):
         _, base = server
         status, payload, _ = post_json(base, "/v1/db/demo/check", {})
@@ -342,6 +359,35 @@ class TestTelemetry:
             status, payload, _ = post_json(base, "/v1/db/demo/run", {})
         assert status == 500
         assert payload["error"]["code"] == "LG901"
+
+    def test_reply_fault_after_commit_reports_the_committed_write(
+        self, server
+    ):
+        """The WAL append is the commit point: a failure while replying
+        comes after it, so the 500 must say the write is durable."""
+        _, base = server
+        with FAULTS.inject("server.response", action="io-error"):
+            status, payload, _ = post_json(
+                base, "/v1/db/demo/apply",
+                {"module": 'rules\n  parent(par "q1", chil "q2").'},
+            )
+        assert status == 500
+        _, info, _ = _get(base, "/v1/db/demo")
+        assert payload["committed"] is True
+        assert payload["applied_seq"] == info["applied_seq"] == 2
+
+    def test_failed_commit_reports_an_uncommitted_write(self, server):
+        _, base = server
+        with FAULTS.inject("server.wal.append", action="error"):
+            status, payload, _ = post_json(
+                base, "/v1/db/demo/apply",
+                {"module": 'rules\n  parent(par "q1", chil "q2").'},
+            )
+        assert status == 500
+        assert payload["committed"] is False
+        assert "applied_seq" not in payload
+        _, info, _ = _get(base, "/v1/db/demo")
+        assert info["applied_seq"] == 1
 
     def test_mid_response_disconnect_is_counted_not_fatal(self, server):
         app, base = server

@@ -9,7 +9,7 @@ are never lost; unacknowledged ones never half-apply.
 
 import pytest
 
-from repro.engine import EvalConfig
+from repro.engine import EvalConfig, Semantics
 from repro.engine.guards import ResourceGuard
 from repro.errors import (
     ModuleApplicationError,
@@ -108,6 +108,29 @@ class TestCleanRecovery:
         assert recovered.recovered_records == len(IP_MODULES)
         assert (recovered.db.oidgen.next_number
                 == live.db.oidgen.next_number)
+
+
+#: one write per data- or rule-variant mode, each legal after the last
+EVERY_MODE = [
+    (Mode.RIDV, 'rules\n  parent(par "a", chil "b").'),
+    (Mode.RADI, 'rules\n  anc(a X, d X) <- parent(par X).'),
+    (Mode.RADV, 'rules\n  parent(par "b", chil "c").'),
+    (Mode.RDDI, 'rules\n  anc(a X, d X) <- parent(par X).'),
+    (Mode.RDDV, 'rules\n  parent(par "b", chil "c").'),
+]
+
+
+class TestReplayEveryMode:
+    @pytest.mark.parametrize("semantics", list(Semantics))
+    def test_reopen_without_close_replays_every_mode(self, tmp_path,
+                                                      semantics):
+        registry = DatabaseRegistry(tmp_path, snapshot_interval=100)
+        live = registry.create("db", SOURCE)
+        for mode, module in EVERY_MODE:
+            live.apply(module, mode, semantics=semantics)
+        recovered = reopen(tmp_path, snapshot_interval=100)
+        assert recovered.fingerprints() == live.fingerprints()
+        assert recovered.recovered_records == 5
 
 
 class TestWalAppendFaults:
