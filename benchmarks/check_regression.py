@@ -48,7 +48,11 @@ into a bare sink, and the *uninstrumented* run — the PR 3
 zero-overhead-disabled fast path — must stay within
 ``--disabled-threshold`` of the committed
 ``test_logres_plan_on[1000]`` baseline (generous, since the committed
-number may come from another machine).
+number may come from another machine).  It also compares observed runs
+with production runs: for every matrix family at 10³ facts, the median
+of 8 ABBA-paired ``profile_program`` / ``Engine.run`` time ratios must
+be at most 1.25 and the instances identical — a profile must time the
+algorithm production runs.
 
 ``--bench-gate`` runs the perf-trend gate over the committed
 ``BENCH_*.json`` history (the ``repro bench`` matrix rows plus the
@@ -95,6 +99,11 @@ BUS_OVERHEAD_TARGET = 0.05
 #: telemetry gate: the uninstrumented run vs the committed baseline —
 #: generous, the committed min may come from a different machine
 DISABLED_OVERHEAD_THRESHOLD = 1.0
+#: telemetry gate: median profile_program / Engine.run ratio per matrix
+#: family at 10³ facts, over this many ABBA-ordered pairs
+OBSERVED_RATIO_BOUND = 1.25
+OBSERVED_PAIRS = 8
+OBSERVED_SCALE = 1000
 
 
 def extract(json_path: pathlib.Path) -> dict[str, dict]:
@@ -210,9 +219,15 @@ def check_telemetry_gate(baseline_path: pathlib.Path, reps: int,
                          bus_target: float,
                          disabled_threshold: float) -> int:
     """The live-telemetry acceptance gate: bus fan-out overhead vs a
-    bare sink bounded by ``bus_target``, and the uninstrumented fast
-    path still ≈ the committed baseline."""
-    from benchmarks.telemetry import bus_throughput, telemetry_gate_times
+    bare sink bounded by ``bus_target``, the uninstrumented fast path
+    still ≈ the committed baseline, and observed runs within
+    :data:`OBSERVED_RATIO_BOUND` of production runs on every matrix
+    family."""
+    from benchmarks.telemetry import (
+        bus_throughput,
+        observed_vs_production,
+        telemetry_gate_times,
+    )
 
     try:
         plain_ts, sink_ts, bus_ts = telemetry_gate_times(reps=reps)
@@ -260,6 +275,23 @@ def check_telemetry_gate(baseline_path: pathlib.Path, reps: int,
     else:
         print(f"note: no baseline at {baseline_path};"
               " disabled-path check skipped")
+    observed = observed_vs_production(OBSERVED_SCALE, OBSERVED_PAIRS)
+    for family, (ratios, identical) in observed.items():
+        ratio = statistics.median(ratios)
+        print(f"{family}[{OBSERVED_SCALE}]: profile/production median"
+              f" {ratio:.2f}x (allowed {OBSERVED_RATIO_BOUND:.2f}x),"
+              f" pairs " + " ".join(f"{r:.2f}" for r in ratios)
+              + ("" if identical else " — INSTANCES DIFFER"))
+        if not identical:
+            failures.append(
+                f"{family}: the profiled instance differs from the"
+                " production instance"
+            )
+        if ratio > OBSERVED_RATIO_BOUND:
+            failures.append(
+                f"{family}: profiled run {ratio:.2f}x the production"
+                f" run (allowed {OBSERVED_RATIO_BOUND:.2f}x)"
+            )
     if failures:
         for failure in failures:
             print(f"\n{failure}", file=sys.stderr)

@@ -280,6 +280,55 @@ def telemetry_gate_times(
     return plain_times, sink_times, bus_times
 
 
+def observed_vs_production(scale: int = 1000, pairs: int = 8) -> dict:
+    """``{family: (ratios, identical)}``: ``profile_program`` time over
+    uninstrumented ``Engine.run`` time for each matrix family.
+
+    ``pairs`` back-to-back pairs per family, alternating which side
+    runs first (ABBA), so machine-load drift lands on both sides; both
+    sides construct their engine inside the timed region.
+    ``identical`` says every observed instance had the production
+    instance's fingerprint.
+    """
+    import gc
+    import time as _time
+
+    from repro.engine import Engine, Semantics
+    from repro.observability.profile import profile_program
+    from repro.workloads.families import FAMILIES, factset_fingerprint
+
+    out = {}
+    for name, family in FAMILIES.items():
+        schema, program, edb = family.build(scale)
+
+        def production():
+            return Engine(schema, program).run(edb, Semantics.INFLATIONARY)
+
+        def observed():
+            return profile_program(schema, program, edb)[0]
+
+        def timed(fn):
+            gc.collect()
+            t0 = _time.perf_counter()
+            instance = fn()
+            return _time.perf_counter() - t0, factset_fingerprint(instance)
+
+        production()
+        observed()  # warm-up: lazy imports, allocator, index builds
+        ratios, prints = [], set()
+        for i in range(max(1, pairs)):
+            if i % 2 == 0:
+                plain_s, plain_fp = timed(production)
+                seen_s, seen_fp = timed(observed)
+            else:
+                seen_s, seen_fp = timed(observed)
+                plain_s, plain_fp = timed(production)
+            ratios.append(seen_s / plain_s if plain_s else float("inf"))
+            prints.update((plain_fp, seen_fp))
+        out[name] = (ratios, len(prints) == 1)
+    return out
+
+
 def bus_throughput(events: int = 50_000) -> float:
     """Events per second through a bus with one attached sink and one
     live subscriber — the BENCH row for raw bus fan-out."""

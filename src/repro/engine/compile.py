@@ -26,9 +26,10 @@ Anything outside the fragment (oid invention, class heads, deletion
 heads, self/tuple/positional arguments, patterns, active-domain
 negation, collection terms in built-ins) returns None and keeps the
 generic path — the engine only *uses* a compiled body once the rule's
-observed work crosses ``EvalConfig.compile_threshold``, and never under
-instrumentation (events must see every valuation) or with indexes
-disabled.
+observed work crosses ``EvalConfig.compile_threshold`` (or the plan
+predicts it will), and never with indexes disabled.  Observed runs use
+the same closures: :meth:`CompiledRule.observe` wraps the sink, not the
+chain, so what a profile or trace sees is the production join.
 
 Equivalence with the generic matcher is property-tested against the
 reference kernel (``tests/test_planned_kernel.py``).  One deliberate
@@ -92,8 +93,8 @@ def _pred_values(facts, pred):
 
 def _index_bucket(facts, pred, label, key):
     """The (pred, label, key) index bucket, building the lazy index on
-    first probe.  The compiled path never runs instrumented, so the
-    index-stats accounting in :meth:`FactSet.lookup` is not needed."""
+    first probe.  It bypasses the index-stats accounting of
+    :meth:`FactSet.lookup`: those counters cover the generic matcher."""
     index = facts._indexes.get(pred)
     by_label = index.get(label) if index is not None else None
     if by_label is None:
@@ -111,18 +112,20 @@ class CompiledRule:
     (the semi-naive drivers feed delta facts through these).  ``emit``
     receives the register file with every head variable written;
     :meth:`make_delta_emit` / :meth:`make_round_emit` build the two
-    sinks the engine uses.
+    sinks the engine uses, and :meth:`observe` wraps either one for an
+    observed run.  ``slots`` maps each rule variable to its register.
     """
 
-    __slots__ = ("rule_index", "head_pred", "regs", "chain",
+    __slots__ = ("rule_index", "head_pred", "slots", "regs", "chain",
                  "seed_chains", "seed_specs", "head_build",
                  "head_build_value")
 
-    def __init__(self, rule_index, head_pred, nslots, chain, seed_chains,
+    def __init__(self, rule_index, head_pred, slots, chain, seed_chains,
                  seed_specs, head_build, head_build_value):
         self.rule_index = rule_index
         self.head_pred = head_pred
-        self.regs = [None] * nslots
+        self.slots = slots
+        self.regs = [None] * len(slots)
         self.chain = chain
         self.seed_chains = seed_chains
         self.seed_specs = seed_specs  # tuple[(pos, pred)]
@@ -197,6 +200,79 @@ class CompiledRule:
             seen_add(value)
             append(Fact(pred, value))
         return emit
+
+    def observe(self, emit, runtime, obs, live, guard, fresh=None):
+        """Wrap ``emit`` (either sink) for an observed run; returns
+        ``(emit', fold)``.
+
+        A valuation *contributes* when its head is absent from ``live``
+        — the fact set the valuation-domain condition of Def. 7 tests,
+        or None when every valuation contributes (non-inflationary
+        steps) — exactly as :func:`repro.engine.step.process_head`
+        decides; an earlier valuation of the same round may have
+        derived it already.  ``emit`` itself runs unchanged, so the
+        observed run derives what the production run derives; the
+        wrapper only decides, as cheaply as the caller's workload
+        allows, whether the valuation contributed:
+
+        * a general-kernel step (``fresh`` None) re-derives mostly held
+          heads, so the wrapper builds the head first and drops a held
+          one after the ``guard`` size check ``emit`` would make;
+        * a compiled semi-naive round derives mostly new heads, so
+          ``emit`` runs first and a contribution shows as growth of the
+          round's ``fresh`` list; the head is only built for a
+          valuation ``emit`` dropped.
+
+        Counts accumulate in locals and ``fold()`` adds them to ``obs``
+        (:meth:`~repro.observability.Instrumentation.rule_counted`) at
+        the round boundary.  Only with a sink attached does a
+        contribution also become an ``obs.rule_fired`` event, its
+        bindings rebuilt from the register file.
+        """
+        build_value = self.head_build_value
+        pred = self.head_pred
+        table = live._assoc.get(pred, ()) if live is not None else ()
+        events = obs.emit_events
+        slots = tuple(self.slots.items())
+        valuations = fires = 0
+        filled = len(fresh) if fresh is not None else 0
+
+        def held_first(regs):
+            nonlocal valuations, fires
+            valuations += 1
+            value = build_value(regs)
+            if value in table:
+                if guard is not None:
+                    guard.check_fact_size(pred, value)
+                return
+            emit(regs)
+            fires += 1
+            if events:
+                obs.rule_fired(runtime, [Fact(pred, value)],
+                               {var: regs[slot] for var, slot in slots})
+
+        def emit_first(regs):
+            nonlocal valuations, fires, filled
+            valuations += 1
+            emit(regs)
+            if len(fresh) != filled:
+                filled += 1
+                value = fresh[-1].value
+            else:
+                value = build_value(regs)
+                if value in table:
+                    return
+            fires += 1
+            if events:
+                obs.rule_fired(runtime, [Fact(pred, value)],
+                               {var: regs[slot] for var, slot in slots})
+
+        def fold():
+            nonlocal valuations, fires
+            obs.rule_counted(runtime, valuations, fires, fires,
+                             compiled=True)
+            valuations = fires = 0
+        return (held_first if fresh is None else emit_first), fold
 
 
 # ---------------------------------------------------------------------------
@@ -973,7 +1049,7 @@ def compile_rule(runtime, plan, schema) -> CompiledRule | None:
     return CompiledRule(
         rule_index=runtime.index,
         head_pred=rule.head.pred,
-        nslots=len(slots),
+        slots=slots,
         chain=chain,
         seed_chains=seed_chains,
         seed_specs=tuple(seed_specs),

@@ -20,6 +20,11 @@ the facts that are new since the previous iteration.  It computes the same
 fixpoint as the inflationary operator on that fragment (property-tested)
 and is the configuration benchmarked against the naive evaluator.
 
+Observation never selects the algorithm: with or without an
+:class:`~repro.observability.Instrumentation` or a tracer attached, a
+program runs the same kernel, the same compiled bodies and the same
+rule order; observation only adds the emit calls.
+
 Termination is undecidable (Appendix B), so every loop is guarded by the
 iteration / fact / invention budgets of :class:`EvalConfig` and raises
 :class:`~repro.errors.NonTerminationError` when exceeded.
@@ -185,10 +190,10 @@ class Engine:
         """Compute the instance of ``(E, R, S)`` under the given semantics.
 
         Passing a :class:`repro.engine.trace.Tracer` records derivation
-        provenance (the tracer consumes the engine's event stream).  Any
-        attached instrumentation — a tracer or an
-        :class:`~repro.observability.Instrumentation` — forces the
-        general (non-semi-naive) path so every rule firing is observed.
+        provenance (the tracer consumes the engine's event stream).  An
+        attached tracer or :class:`~repro.observability.Instrumentation`
+        observes the run without changing it: the kernel, compiled
+        bodies and rule order are the ones an unobserved run uses.
         """
         self.stats = EvalStats()
         self.plans = []
@@ -237,10 +242,9 @@ class Engine:
             if obs.enabled:
                 facts.index_stats = obs.index_stats
             self._attach_plans(rules, facts, obs, semantics)
-            if not obs.enabled and self.config.seminaive and \
-                    self._seminaive_applicable(rules):
+            if self.config.seminaive and self._seminaive_applicable(rules):
                 self.stats.used_seminaive = True
-                return self._run_seminaive(facts, rules)
+                return self._run_seminaive(facts, rules, obs)
             return self._run_inflationary(facts, rules, inventions, obs)
         if semantics is Semantics.STRATIFIED:
             strata = stratify_runtimes(rules, self.analysis)
@@ -277,9 +281,8 @@ class Engine:
     ) -> None:
         """Plan one fixpoint scope and arm the runtimes.
 
-        Compiled bodies are only built when they can legally run:
-        uninstrumented (events must observe every valuation) and with
-        indexes on (the closures bind index lookups directly).
+        Compiled bodies are only built with indexes on (the closures
+        bind index lookups directly).
         """
         cfg = self.config
         if not cfg.plan or not rules:
@@ -287,19 +290,17 @@ class Engine:
         from repro.engine.compile import compile_rule
         from repro.engine.planner import build_plan
 
-        metrics = obs.metrics if obs.enabled else None
-        plan = build_plan(rules, facts, self.schema, metrics=metrics,
+        plan = build_plan(rules, facts, self.schema,
                           semantics=semantics.value, stratum=stratum,
                           program_inventors=self._inventors)
         self.plans.append(plan)
-        compiling = cfg.use_indexes and not obs.enabled
         for runtime, rule_plan in zip(rules, plan.rules):
             runtime.plan = rule_plan
             runtime.work = 0
             runtime.hot = False
             runtime.threshold = cfg.compile_threshold
             runtime.compiled = None
-            if compiling and rule_plan.order is not None:
+            if cfg.use_indexes and rule_plan.order is not None:
                 runtime.compiled = compile_rule(runtime, rule_plan,
                                                 self.schema)
                 if runtime.compiled is not None and (
@@ -313,14 +314,12 @@ class Engine:
                     runtime.hot = True
         if obs.enabled:
             obs.plan_chosen(plan)
-        else:
-            # certificate-backed reordering: within each independent
-            # group, cheapest-plan-first so low-cost rules saturate
-            # their deltas early.  The groups are provably
-            # order-insensitive, so results stay bit-identical (pinned
-            # by the planned≡reference property suite).  Instrumented
-            # runs keep source order — event streams promise it.
-            self._reorder_by_certificates(rules, plan)
+        # certificate-backed reordering: within each independent group,
+        # cheapest-plan-first so low-cost rules saturate their deltas
+        # early.  The groups are provably order-insensitive, so results
+        # stay bit-identical (pinned by the planned≡reference property
+        # suite).
+        self._reorder_by_certificates(rules, plan)
 
     @staticmethod
     def _reorder_by_certificates(rules: list[RuleRuntime], plan) -> None:
@@ -392,7 +391,7 @@ class Engine:
         facts: FactSet,
         live: int,
         inventions: int,
-        obs: Instrumentation = NULL_INSTRUMENTATION,
+        obs: Instrumentation,
     ) -> None:
         """The per-kernel iteration-boundary guard check.  ``facts`` is
         the state of the last completed iteration, so the snapshot a
@@ -573,13 +572,19 @@ class Engine:
         return True
 
     def _run_seminaive(
-        self, facts: FactSet, rules: list[RuleRuntime]
+        self,
+        facts: FactSet,
+        rules: list[RuleRuntime],
+        obs: Instrumentation = NULL_INSTRUMENTATION,
     ) -> FactSet:
         cfg = self.config
         guard = cfg.guard
         incremental = cfg.incremental
         inventions = InventionRegistry(self.oidgen)  # unused but uniform
-        obs = NULL_INSTRUMENTATION  # semi-naive only runs uninstrumented
+        step_obs = obs if obs.enabled else None
+        events = obs if obs.emit_events else None
+        metrics = obs.metrics if obs.enabled else None
+        clock = time.perf_counter
         if (
             cfg.plan and cfg.use_indexes and rules
             and all(r.compiled is not None and r.hot for r in rules)
@@ -587,12 +592,14 @@ class Engine:
             # every rule pre-armed hot: the whole fixpoint, initial
             # round included, runs on the compiled driver
             return self._run_seminaive_compiled(facts, rules, None,
-                                                facts.count())
+                                                facts.count(), obs)
         # initial round: fact rules and rules over the EDB
-        self._guard_boundary(guard, facts, facts.count(), 0)
+        self._guard_boundary(guard, facts, facts.count(), 0, obs)
         with self._iteration(obs):
-            ctx = MatchContext(facts, self.schema, cfg.use_indexes)
-            first = compute_deltas(rules, ctx, inventions, guard=guard)
+            ctx = MatchContext(facts, self.schema, cfg.use_indexes,
+                               metrics=metrics)
+            first = compute_deltas(rules, ctx, inventions, obs=step_obs,
+                                   guard=guard)
             if incremental:
                 # one working fact set, mutated in place; the net change
                 # is exactly the facts the EDB did not already contain,
@@ -606,7 +613,8 @@ class Engine:
                 # repeat EDB facts, which round 2 would pointlessly
                 # re-join.
                 delta = first.plus.minus(edb)
-                ctx = MatchContext(facts, self.schema, cfg.use_indexes)
+                ctx = MatchContext(facts, self.schema, cfg.use_indexes,
+                                   metrics=metrics)
             live = facts.count()
             domains = ActiveDomains(facts, self.schema)
             self.stats.facts_derived = live
@@ -619,8 +627,8 @@ class Engine:
                 # every rule crossed the work threshold: hand the rest
                 # of the fixpoint to the compiled driver
                 return self._run_seminaive_compiled(facts, rules, delta,
-                                                    live)
-            self._guard_boundary(guard, facts, live, 0)
+                                                    live, obs)
+            self._guard_boundary(guard, facts, live, 0, obs)
             with self._iteration(obs):
                 if self.stats.iterations > cfg.max_iterations:
                     raise NonTerminationError(
@@ -631,17 +639,19 @@ class Engine:
                     )
                 if not incremental:
                     ctx = MatchContext(facts, self.schema,
-                                       cfg.use_indexes)
+                                       cfg.use_indexes, metrics=metrics)
                     domains = ActiveDomains(facts, self.schema)
                 round_delta = StepDeltas()
                 for runtime in rules:
+                    if step_obs is not None:
+                        started = clock()
                     body = list(runtime.rule.body)
                     rule_plan = runtime.plan
                     positions = [
                         i for i, l in enumerate(body)
                         if isinstance(l, Literal) and delta.count(l.pred)
                     ]
-                    valuations = 0
+                    valuations = matched = produced = 0
                     for pos in positions:
                         literal = body[pos]
                         rest_order = (
@@ -663,12 +673,19 @@ class Engine:
                                 body=rest, ordered=ordered
                             ):
                                 valuations += 1
-                                process_head(
+                                contributed = process_head(
                                     runtime, bindings, ctx, round_delta,
-                                    inventions, guard=guard,
+                                    inventions, obs=events, guard=guard,
                                 )
+                                if contributed:
+                                    matched += 1
+                                    produced += len(contributed)
                     if runtime.compiled is not None:
                         runtime.note_work(valuations)
+                    if step_obs is not None:
+                        obs.rule_counted(runtime, valuations, matched,
+                                         produced)
+                        obs.rule_evaluated(runtime, clock() - started)
                 if incremental:
                     # in-place union: `add` reports exactly the fresh
                     # facts
@@ -698,75 +715,74 @@ class Engine:
         rules: list[RuleRuntime],
         delta: FactSet | None,
         live: int,
+        obs: Instrumentation = NULL_INSTRUMENTATION,
     ) -> FactSet:
         """Semi-naive rounds driven entirely by compiled rule bodies.
 
         Plain per-round lists replace the per-round ``StepDeltas`` /
-        ``FactSet`` churn of the generic loop: each delta fact is pushed
-        through every seed chain registered for its predicate, emitted
-        facts are deduplicated against the live state and the current
-        round, and the survivors become the next round's delta.  Same
-        fixpoint, same iteration count, same budget checks.
+        ``FactSet`` churn of the generic loop: each rule pushes the
+        round's delta facts through its seed chains, emitted facts are
+        deduplicated against the live state and the current round, and
+        the survivors become the next round's delta.  Same fixpoint,
+        same iteration count, same budget checks.
 
         ``delta=None`` means the initial round has not run yet: the
         full body chains evaluate once over the EDB and their net-new
         facts seed the delta rounds.
+
+        An enabled ``obs`` wraps each rule's round sink
+        (:meth:`~repro.engine.compile.CompiledRule.observe`) and times
+        each rule's share of the round; the chains are the same.
         """
         cfg = self.config
         guard = cfg.guard
-        obs = NULL_INSTRUMENTATION
+        observed = obs.enabled
+        clock = time.perf_counter
         ctx = MatchContext(facts, self.schema, True)
-        if delta is None:
-            self._guard_boundary(guard, facts, live, 0)
+
+        def run_round(pending) -> list:
+            """One round: every rule over ``pending`` (None: the full
+            bodies over the whole state); returns the fresh facts."""
+            fresh: list = []
+            seen: dict[str, set] = {}
+            by_pred: dict[str, list] = {}
+            for fact in pending or ():
+                by_pred.setdefault(fact.pred, []).append(fact)
+            for runtime in rules:
+                compiled = runtime.compiled
+                emit = compiled.make_round_emit(facts, fresh, seen, guard)
+                if observed:
+                    started = clock()
+                    emit, fold = compiled.observe(emit, runtime, obs,
+                                                  facts, guard, fresh)
+                if pending is None:
+                    compiled.run_full(ctx, emit)
+                else:
+                    regs = compiled.regs
+                    for pos, pred in compiled.seed_specs:
+                        seed_chain = compiled.seed_chains[pos]
+                        for fact in by_pred.get(pred, ()):
+                            seed_chain(fact, regs, ctx, emit)
+                if observed:
+                    fold()
+                    obs.rule_evaluated(runtime, clock() - started)
+            return fresh
+
+        pending = None if delta is None else list(delta.facts())
+        while pending is None or pending:
+            self._guard_boundary(guard, facts, live, 0, obs)
             with self._iteration(obs):
-                fresh: list = []
-                seen: dict[str, set] = {}
-                for runtime in rules:
-                    compiled = runtime.compiled
-                    compiled.run_full(ctx, compiled.make_round_emit(
-                        facts, fresh, seen, guard
-                    ))
-                for fact in fresh:
-                    facts.add(fact)
-                live += len(fresh)
-                self.stats.facts_derived = live
-                pending = fresh
-            if live > cfg.max_facts:
-                raise NonTerminationError(
-                    f"fact budget exceeded ({live} facts)",
-                    self.stats.iterations,
-                    stats=self.stats,
-                )
-        else:
-            pending = list(delta.facts())
-        while pending:
-            self._guard_boundary(guard, facts, live, 0)
-            with self._iteration(obs):
-                if self.stats.iterations > cfg.max_iterations:
+                # the initial round is never budgeted, as in the
+                # generic driver
+                if pending is not None and \
+                        self.stats.iterations > cfg.max_iterations:
                     raise NonTerminationError(
                         f"no fixpoint after {cfg.max_iterations}"
                         f" iterations",
                         self.stats.iterations,
                         stats=self.stats,
                     )
-                fresh: list = []
-                seen: dict[str, set] = {}
-                dispatch: dict[str, list] = {}
-                for runtime in rules:
-                    compiled = runtime.compiled
-                    emit = compiled.make_round_emit(facts, fresh, seen,
-                                                    guard)
-                    for pos, pred in compiled.seed_specs:
-                        dispatch.setdefault(pred, []).append(
-                            (compiled.seed_chains[pos], compiled.regs,
-                             emit)
-                        )
-                for fact in pending:
-                    handlers = dispatch.get(fact.pred)
-                    if handlers is None:
-                        continue
-                    for seed_chain, regs, emit in handlers:
-                        seed_chain(fact, regs, ctx, emit)
+                fresh = run_round(pending)
                 for fact in fresh:
                     facts.add(fact)
                 live += len(fresh)

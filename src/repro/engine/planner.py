@@ -7,9 +7,8 @@ that optimizer, unified for both evaluation paths:
 * **Body planning** — :func:`build_plan` reorders each rule body per
   stratum using per-literal selectivity estimated from the live
   :class:`~repro.storage.factset.FactSet` index statistics (predicate
-  cardinalities and distinct-value counts per indexed position) plus,
-  when an instrumented run supplies one, the observed ``join_fanout``
-  metrics of earlier runs.  Bound variables propagate left to right,
+  cardinalities and distinct-value counts per indexed position).
+  Bound variables propagate left to right,
   the cheapest (smallest estimated candidate set) positive literal runs
   first, and negations / built-ins are pushed to their earliest legal
   position — the static mirror of the greedy runtime scheduler in
@@ -77,17 +76,14 @@ class Stats:
 
     ``distinct(pred, label)`` counts distinct values at an indexed
     position (one lazy index build, shared with evaluation), so an
-    indexed probe is estimated at ``card / distinct`` candidates.  When
-    a :class:`~repro.observability.metrics.MetricsRegistry` from an
-    earlier instrumented run is supplied, the observed mean
-    ``join_fanout`` per predicate overrides that estimate — the PR 3
-    feedback loop.
+    indexed probe is estimated at ``card / distinct`` candidates.
+    Only the fact set informs the estimates, so an observed run plans
+    exactly like an unobserved one.
     """
 
-    def __init__(self, facts, idb_preds=(), metrics=None):
+    def __init__(self, facts, idb_preds=()):
         self._facts = facts
         self._idb = {p.lower() for p in idb_preds}
-        self._metrics = metrics
         self._card: dict[str, float] = {}
         self._distinct: dict[tuple[str, str], float] = {}
         counts = [facts.count(p) for p in facts.predicates()]
@@ -113,20 +109,7 @@ class Stats:
             self._distinct[key] = cached
         return cached
 
-    def observed_fanout(self, pred: str) -> float | None:
-        if self._metrics is None:
-            return None
-        hist = self._metrics.histogram(
-            "join_fanout", (("pred", pred.lower()),)
-        )
-        if hist is None or not hist.count:
-            return None
-        return max(1.0, hist.mean)
-
     def indexed_estimate(self, pred: str, label: str) -> float:
-        observed = self.observed_fanout(pred)
-        if observed is not None:
-            return observed
         return max(1.0, self.card(pred) / self.distinct(pred, label))
 
 
@@ -433,7 +416,6 @@ def build_plan(
     runtimes,
     facts,
     schema,
-    metrics=None,
     semantics: str = "inflationary",
     stratum: int | None = None,
     program_inventors: int | None = None,
@@ -463,7 +445,7 @@ def build_plan(
         for r in runtimes
         if isinstance(r.rule.head, Literal)
     }
-    stats = Stats(facts, idb, metrics=metrics)
+    stats = Stats(facts, idb)
     plan = Plan(semantics=semantics, stratum=stratum)
     for runtime in runtimes:
         body = tuple(runtime.rule.body)

@@ -533,9 +533,10 @@ def process_head(
     (drop valuations whose head is already satisfiable); the
     non-inflationary semantics disables it, since each step rebuilds the
     state from scratch.  ``obs`` (an
-    :class:`repro.observability.Instrumentation`) receives one
-    rule-fired notification per valuation — that event stream is what
-    :class:`repro.engine.trace.Tracer` records provenance from.
+    :class:`repro.observability.Instrumentation` with a sink attached,
+    or None) receives one rule-fired event per contributing valuation —
+    that event stream is what :class:`repro.engine.trace.Tracer` records
+    provenance from.  Callers count the returned contributions.
     Returns the facts this valuation contributed (empty for a duplicate).
     """
     head = runtime.rule.head
@@ -554,8 +555,8 @@ def process_head(
         else:
             contributed = _derive_tuple(head, bindings, ctx, deltas,
                                         skip_satisfied, guard)
-    if obs is not None:
-        obs.rule_fired(runtime, contributed, bindings, head.negated)
+    if obs is not None and contributed:
+        obs.rule_fired(runtime, contributed, bindings)
     return contributed
 
 
@@ -811,42 +812,55 @@ def compute_deltas(
     ``domains`` lets the incremental engine pass a persistent
     :class:`ActiveDomains` (invalidated per changed predicate) instead of
     rebuilding the caches from scratch each step.  ``obs`` (an enabled
-    :class:`repro.observability.Instrumentation`, or None) receives
-    per-rule wall time and the rule-fired stream; the ``obs is None``
-    loop is kept separate so the uninstrumented hot path pays nothing.
+    :class:`repro.observability.Instrumentation`, or None) observes
+    whichever path each rule takes, compiled or generic: per-rule wall
+    time, per-rule counts folded once per step, and — only with a sink
+    attached — one rule-fired event per contributing valuation.
     """
     deltas = StepDeltas()
     if domains is None:
         domains = ActiveDomains(ctx.facts, ctx.schema)
-    if obs is None:
-        for runtime in runtimes:
-            if runtime.rule.head is None:
-                continue  # denials: evaluated by the consistency checker
-            if runtime.hot and ctx.use_indexes:
-                # compiled fast path: the closure chain derives the same
-                # ground facts as evaluate_body + process_head
-                emit = runtime.compiled.make_delta_emit(
-                    ctx, deltas, guard, skip_satisfied
-                )
-                runtime.compiled.run_full(ctx, emit)
-                continue
-            valuations = 0
-            for bindings in evaluate_body(runtime, ctx, domains):
-                valuations += 1
-                process_head(runtime, bindings, ctx, deltas, inventions,
-                             skip_satisfied, guard=guard)
-            if runtime.compiled is not None:
-                runtime.note_work(valuations)
-        return deltas
+    events = obs if obs is not None and obs.emit_events else None
     clock = time.perf_counter
     for runtime in runtimes:
         if runtime.rule.head is None:
-            continue  # denials are evaluated by the consistency checker
-        started = clock()
-        for bindings in evaluate_body(runtime, ctx, domains):
-            process_head(runtime, bindings, ctx, deltas, inventions,
-                         skip_satisfied, obs, guard=guard)
-        obs.rule_evaluated(runtime, clock() - started)
+            continue  # denials: evaluated by the consistency checker
+        if obs is not None:
+            started = clock()
+        if runtime.hot and ctx.use_indexes:
+            # compiled fast path: the closure chain derives the same
+            # ground facts as evaluate_body + process_head
+            compiled = runtime.compiled
+            emit = compiled.make_delta_emit(ctx, deltas, guard,
+                                            skip_satisfied)
+            if obs is None:
+                compiled.run_full(ctx, emit)
+            else:
+                emit, fold = compiled.observe(
+                    emit, runtime, obs,
+                    ctx.facts if skip_satisfied else None, guard,
+                )
+                compiled.run_full(ctx, emit)
+                fold()
+        else:
+            valuations = matched = produced = 0
+            invented = deltas.inventions
+            for bindings in evaluate_body(runtime, ctx, domains):
+                valuations += 1
+                contributed = process_head(
+                    runtime, bindings, ctx, deltas, inventions,
+                    skip_satisfied, events, guard=guard,
+                )
+                if contributed:
+                    matched += 1
+                    produced += len(contributed)
+            if runtime.compiled is not None:
+                runtime.note_work(valuations)
+            if obs is not None:
+                obs.rule_counted(runtime, valuations, matched, produced,
+                                 deltas.inventions - invented)
+        if obs is not None:
+            obs.rule_evaluated(runtime, clock() - started)
     return deltas
 
 

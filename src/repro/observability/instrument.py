@@ -287,26 +287,13 @@ class Instrumentation:
         runtime: "RuleRuntime",
         contributed: list["Fact"],
         bindings,
-        deleted: bool,
     ) -> None:
-        """One body valuation reached the head: record its contribution."""
-        rule_labels, rule_repr, line, column = self._meta(runtime)
-        m = self.metrics
-        if m is not None:
-            m.inc("rule_valuations", rule_labels)
-            if contributed:
-                m.inc("rule_valuations_matched", rule_labels)
-                m.inc("rule_fires", rule_labels, len(contributed))
-                name = ("rule_facts_deleted" if deleted
-                        else "rule_facts_derived")
-                m.inc(name, rule_labels, len(contributed))
-                for fact in contributed:
-                    m.inc("pred_facts_contributed",
-                          (("pred", fact.pred),))
-            else:
-                m.inc("rule_duplicates", rule_labels)
+        """One body valuation contributed ``contributed``: one fact event
+        each, a deletion for a negated head.  Events only — the
+        evaluation loops count through :meth:`rule_counted`."""
         if self.emit_events and contributed:
-            cls = FactDeleted if deleted else RuleFired
+            _, rule_repr, line, column = self._meta(runtime)
+            cls = FactDeleted if runtime.rule.head.negated else RuleFired
             run_id, span_id, parent = self._point()
             for fact in contributed:
                 self.sink.emit(cls(
@@ -326,6 +313,35 @@ class Instrumentation:
                     bindings_value=bindings,
                 ))
 
+    def rule_counted(self, runtime: "RuleRuntime", valuations: int,
+                     matched: int, facts: int, inventions: int = 0,
+                     compiled: bool = False) -> None:
+        """A batch of one rule's counts, the only way rule counts reach
+        the registry — the evaluation loops fold one per rule per round:
+        ``valuations`` body valuations, ``matched`` of which contributed
+        ``facts`` head facts in all (derived, or deleted for a deletion
+        head), and ``inventions`` fresh oids.  ``compiled`` records
+        that the rule's compiled body ran."""
+        m = self.metrics
+        if m is None:
+            return
+        rule_labels = self._meta(runtime)[0]
+        head = runtime.rule.head
+        if compiled:
+            m.set_gauge("rule_compiled", rule_labels, 1)
+        if valuations:
+            m.inc("rule_valuations", rule_labels, valuations)
+        if matched:
+            m.inc("rule_valuations_matched", rule_labels, matched)
+            m.inc("rule_fires", rule_labels, facts)
+            m.inc("rule_facts_deleted" if head.negated
+                  else "rule_facts_derived", rule_labels, facts)
+            m.inc("pred_facts_contributed", (("pred", head.pred),), facts)
+        if valuations > matched:
+            m.inc("rule_duplicates", rule_labels, valuations - matched)
+        if inventions:
+            m.inc("rule_inventions", rule_labels, inventions)
+
     def rule_evaluated(self, runtime: "RuleRuntime",
                        elapsed: float) -> None:
         """Wall time one rule spent in one full body+head evaluation."""
@@ -334,10 +350,10 @@ class Instrumentation:
             self.metrics.observe("rule_time", rule_labels, elapsed)
 
     def invention(self, runtime: "RuleRuntime", oid) -> None:
-        rule_labels, rule_repr, line, column = self._meta(runtime)
-        if self.metrics is not None:
-            self.metrics.inc("rule_inventions", rule_labels)
+        """A rule minted ``oid``: one event.  Events only — the
+        evaluation loops count inventions through :meth:`rule_counted`."""
         if self.emit_events:
+            _, rule_repr, line, column = self._meta(runtime)
             run_id, span_id, parent = self._point()
             self.sink.emit(OidInvented(
                 rule_index=runtime.index, rule=rule_repr, oid=repr(oid),

@@ -36,6 +36,9 @@ class RuleProfileRow:
     time_cum: float = 0.0   # body matching + head processing, all rounds
     time_self: float = 0.0  # slowest single evaluation round
     pct: float = 0.0        # time_cum as a share of the whole run
+    #: ``compiled`` when the rule's compiled body ran in any round,
+    #: else ``generic``
+    path: str = "generic"
 
     def to_dict(self) -> dict:
         return {
@@ -51,6 +54,7 @@ class RuleProfileRow:
             "time_ms": self.time_cum * 1000,
             "self_ms": self.time_self * 1000,
             "pct": self.pct,
+            "path": self.path,
         }
 
 
@@ -108,7 +112,7 @@ class Profile:
         header = (
             f"  {'#':>3} {'fires':>7} {'derived':>8} {'deleted':>8}"
             f" {'dup':>6} {'cum ms':>9} {'self ms':>9} {'% run':>6}"
-            f"  rule"
+            f" {'path':>8}  rule"
         )
         lines.append(header)
         lines.append("  " + "-" * (len(header) + 18))
@@ -120,6 +124,7 @@ class Profile:
                 f" {row.time_cum * 1000:>9.2f}"
                 f" {row.time_self * 1000:>9.2f}"
                 f" {row.pct:>5.1f}%"
+                f" {row.path:>8}"
                 f"  {_clip(row.rule, 48)}{where}"
             )
         if self.strata:
@@ -211,6 +216,8 @@ def build_profile(engine, obs: Instrumentation) -> Profile:
             time_cum=time_cum,
             time_self=time_self,
             pct=100 * time_cum / total if total else 0.0,
+            path=("compiled" if registry.gauge("rule_compiled", ls)
+                  else "generic"),
         ))
     rows.sort(key=lambda r: (-r.time_cum, -r.fires, r.index))
     strata = []
@@ -271,9 +278,9 @@ def profile_program(
     """Evaluate ``(schema, program)`` over ``edb`` under full
     instrumentation; returns ``(instance, profile, obs)``.
 
-    Instrumented runs use the general (non-semi-naive) kernel so every
-    rule firing is observed — profiles trade a slower run for complete
-    per-rule accounting.
+    The profiled run is the production run: the same kernel, compiled
+    bodies and rule order as an uninstrumented ``Engine.run``, with
+    per-rule counts folded in at round boundaries.
     """
     from repro.engine import Engine, Semantics
 

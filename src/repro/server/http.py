@@ -260,6 +260,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_app: ReproServer = None  # type: ignore[assignment]
     protocol_version = "HTTP/1.1"
+    #: headers and body go out in separate sends; with Nagle's algorithm
+    #: on, every keep-alive reply would wait for the client's delayed ACK
+    disable_nagle_algorithm = True
     #: a stalled client cannot hold a worker thread forever
     timeout = 30
 

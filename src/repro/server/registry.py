@@ -278,10 +278,11 @@ class ManagedDatabase:
             if self._writes_since_snapshot >= self.snapshot_interval:
                 try:
                     self._write_snapshot()
-                except (OSError, StorageError, RuntimeError):
-                    # the write IS durable (it is in the WAL); a failed
-                    # snapshot rewrite degrades gracefully to a longer
-                    # replay on the next startup
+                except Exception:
+                    # the write IS durable (it is in the WAL): whatever
+                    # the snapshot rewrite raised — I/O, a budget breach,
+                    # a cancellation — it degrades to a longer replay on
+                    # the next startup and never to a failed reply
                     self.snapshot_failures += 1
             return result, self.applied_seq
 

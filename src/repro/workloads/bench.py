@@ -4,11 +4,9 @@ One **cell** is a single benchmark measurement: a workload family
 (:mod:`repro.workloads.families`) built at one scale grade, evaluated
 under one named kernel configuration and one semantics.  Each cell
 
-* times ``reps`` **uninstrumented** engine runs — the production fast
-  path, where the semi-naive and compiled machinery actually engage
-  (instrumentation forces the general path, so timing an instrumented
-  run would erase the very kernel differences the matrix exists to
-  measure);
+* times ``reps`` **uninstrumented** engine runs — the production path,
+  with no observation cost in the timings (an instrumented run takes
+  the same kernel, but pays for its counters and timers);
 * additionally executes once through
   :func:`~repro.observability.report.report_program`, so every cell
   yields a versioned :class:`RunReport` (phase tree, per-rule metrics,

@@ -376,6 +376,27 @@ class TestTelemetry:
         assert payload["committed"] is True
         assert payload["applied_seq"] == info["applied_seq"] == 2
 
+    def test_snapshot_breach_after_commit_is_still_a_200(self, tmp_path):
+        """A budget breach in the best-effort snapshot comes after the
+        WAL append: the write committed, so the reply must be a 200
+        with the advanced sequence, never a 503 that invites a retry."""
+        app, base = _start(tmp_path, snapshot_interval=1)
+        try:
+            status, _, _ = post_json(base, "/v1/db/demo",
+                                     {"source": SOURCE})
+            assert status == 201
+            with FAULTS.inject("server.snapshot", action="breach"):
+                status, payload, _ = post_json(
+                    base, "/v1/db/demo/apply",
+                    {"module": 'rules\n  parent(par "q1", chil "q2").'},
+                )
+            _, info, _ = _get(base, "/v1/db/demo")
+        finally:
+            app.close()
+        assert status == 200, payload
+        assert payload["applied_seq"] == info["applied_seq"] == 1
+        assert info["snapshot_failures"] == 1
+
     def test_failed_commit_reports_an_uncommitted_write(self, server):
         _, base = server
         with FAULTS.inject("server.wal.append", action="error"):
@@ -415,3 +436,29 @@ class TestTelemetry:
         # the server still serves
         status, _, _ = post_json(base, "/v1/db/demo/run", {})
         assert status == 200
+
+
+class TestKeepAlive:
+    def test_keep_alive_replies_do_not_wait_for_delayed_acks(self, server):
+        """Headers and body are separate sends: with Nagle's algorithm
+        on, each keep-alive reply stalls ~40 ms on the client's delayed
+        ACK.  Twenty sequential requests on one connection must each
+        come back far faster than that."""
+        import http.client
+        import statistics
+
+        _, base = server
+        host, _, port = base.rpartition("//")[2].partition(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            latencies = []
+            for _ in range(20):
+                started = time.perf_counter()
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                resp.read()
+                latencies.append(time.perf_counter() - started)
+                assert resp.status == 200
+        finally:
+            conn.close()
+        assert statistics.median(latencies) < 0.020, latencies

@@ -157,6 +157,8 @@ class TestSnapshotFaults:
     @pytest.mark.parametrize("point,action", [
         ("server.snapshot", "error"),
         ("server.snapshot", "io-error"),
+        ("server.snapshot", "breach"),
+        ("server.snapshot", "cancel"),
         ("storage.write", "io-error"),
         ("storage.fsync", "io-error"),
     ])

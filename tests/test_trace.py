@@ -45,11 +45,16 @@ class TestRecording:
         edb_fact = next(edb.facts_of("parent"))
         assert tracer.derivation_of(edb_fact) is None
 
-    def test_tracing_disables_seminaive(self):
+    def test_tracing_keeps_seminaive(self):
+        """A tracer observes the production kernel instead of
+        switching to the naive one."""
         schema, program, edb = tc_setup()
-        engine = Engine(schema, program)
-        engine.run(edb, tracer=Tracer())
-        assert not engine.stats.used_seminaive
+        plain = Engine(schema, program)
+        expected = plain.run(edb)
+        traced = Engine(schema, program)
+        assert traced.run(edb, tracer=Tracer()) == expected
+        assert traced.stats.used_seminaive and plain.stats.used_seminaive
+        assert traced.stats.iterations == plain.stats.iterations
 
     def test_iterations_recorded(self):
         schema, program, edb = tc_setup()
